@@ -6,13 +6,23 @@
  *
  * The obs/ variants run the same loops through InstrumentedKVStore,
  * so `BM_Get/mem` vs `BM_Get/obs_mem` is a direct measurement of
- * the telemetry decorator's overhead.
+ * the telemetry decorator's overhead. `lsm_x4` is four LSM shards
+ * behind ShardedKVStore, and BM_FullScan walks a whole memtable-
+ * resident keyspace on one shard vs four, so the merge's cost per
+ * key shows directly.
+ *
+ * Every case runs kRepetitions times and reports only aggregates
+ * (mean, median, stddev, cv, and iqr: the spread between the 25th
+ * and 75th percentile of the per-repetition times), because single
+ * runs of the fast cases moved by more than half between runs.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <vector>
 
 #include "common/rand.hh"
 #include "core/hybrid_store.hh"
@@ -23,6 +33,7 @@
 #include "kvstore/lsm_store.hh"
 #include "kvstore/mem_store.hh"
 #include "kvstore/instrumented_store.hh"
+#include "kvstore/sharded_store.hh"
 #include "obs/metrics.hh"
 
 using namespace ethkv;
@@ -31,6 +42,7 @@ namespace
 {
 
 constexpr uint64_t dataset = 20000;
+constexpr int kRepetitions = 5;
 
 Bytes
 benchKey(uint64_t i)
@@ -66,6 +78,32 @@ class OwnedObsStore : public kv::InstrumentedKVStore
 std::unique_ptr<kv::KVStore> makeEngine(const std::string &name);
 
 std::unique_ptr<kv::KVStore>
+makeLsm(uint64_t memtable_bytes)
+{
+    static int counter = 0;
+    kv::LSMOptions options;
+    options.dir = (std::filesystem::temp_directory_path() /
+                   ("ethkv_micro_lsm_" + std::to_string(counter++)))
+                      .string();
+    options.memtable_bytes = memtable_bytes;
+    std::filesystem::remove_all(options.dir);
+    auto store = kv::LSMStore::open(options);
+    store.status().expectOk("micro lsm open");
+    return store.take();
+}
+
+/** @p shards LSM engines behind the hash router, as ethkvd
+ *  --shards builds them. */
+std::unique_ptr<kv::KVStore>
+makeShardedLsm(int shards, uint64_t memtable_bytes)
+{
+    std::vector<std::unique_ptr<kv::KVStore>> engines;
+    for (int i = 0; i < shards; ++i)
+        engines.push_back(makeLsm(memtable_bytes));
+    return std::make_unique<kv::ShardedKVStore>(std::move(engines));
+}
+
+std::unique_ptr<kv::KVStore>
 makeEngine(const std::string &name)
 {
     // "obs_<engine>": the same engine behind the telemetry
@@ -88,18 +126,10 @@ makeEngine(const std::string &name)
         return std::make_unique<core::LazyIndexStore>();
     if (name == "hybrid")
         return std::make_unique<core::HybridKVStore>();
-    if (name == "lsm") {
-        static int counter = 0;
-        kv::LSMOptions options;
-        options.dir =
-            (std::filesystem::temp_directory_path() /
-             ("ethkv_micro_lsm_" + std::to_string(counter++)))
-                .string();
-        std::filesystem::remove_all(options.dir);
-        auto store = kv::LSMStore::open(options);
-        store.status().expectOk("micro lsm open");
-        return store.take();
-    }
+    if (name == "lsm")
+        return makeLsm(kv::LSMOptions{}.memtable_bytes);
+    if (name == "lsm_x4")
+        return makeShardedLsm(4, kv::LSMOptions{}.memtable_bytes);
     return nullptr;
 }
 
@@ -172,16 +202,73 @@ BM_Scan100(benchmark::State &state, const std::string &engine)
     state.SetItemsProcessed(state.iterations() * 100);
 }
 
+/**
+ * Full-range scan of state.range(0) keys that all sit in the active
+ * memtables, on @p shards LSM shards.
+ */
+void
+BM_FullScan(benchmark::State &state, int shards)
+{
+    auto keys = static_cast<uint64_t>(state.range(0));
+    // Large enough that no memtable seals during the fill.
+    auto store = shards == 1 ? makeLsm(uint64_t{256} << 20)
+                             : makeShardedLsm(shards,
+                                              uint64_t{256} << 20);
+    fill(*store, keys);
+    for (auto _ : state) {
+        uint64_t visited = 0;
+        store
+            ->scan(BytesView(), BytesView(),
+                   [&](BytesView, BytesView) {
+                       ++visited;
+                       return true;
+                   })
+            .expectOk("scan");
+        if (visited != keys)
+            state.SkipWithError("full scan lost keys");
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(keys));
+}
+
+/** Interquartile range of the per-repetition results. */
+double
+iqr(const std::vector<double> &v)
+{
+    std::vector<double> s(v);
+    std::sort(s.begin(), s.end());
+    auto at = [&s](double q) {
+        double pos = q * static_cast<double>(s.size() - 1);
+        auto lo = static_cast<size_t>(pos);
+        size_t hi = std::min(lo + 1, s.size() - 1);
+        return s[lo] + (pos - static_cast<double>(lo)) * (s[hi] - s[lo]);
+    };
+    return s.empty() ? 0.0 : at(0.75) - at(0.25);
+}
+
+/** Apply()-able: run kRepetitions times, report aggregates only. */
+void
+repeated(benchmark::internal::Benchmark *b)
+{
+    b->Repetitions(kRepetitions)
+        ->ComputeStatistics("iqr", iqr)
+        ->ReportAggregatesOnly(true);
+}
+
 } // namespace
 
-// Iteration caps keep the whole suite to ~a minute on one core.
+// Iteration caps keep each repetition of the suite to ~a minute on
+// one core.
 #define ETHKV_REGISTER(engine)                                     \
     BENCHMARK_CAPTURE(BM_Put, engine, #engine)                     \
-        ->Iterations(30000);                                       \
+        ->Iterations(30000)                                        \
+        ->Apply(repeated);                                         \
     BENCHMARK_CAPTURE(BM_Get, engine, #engine)                     \
-        ->Iterations(30000);                                       \
+        ->Iterations(30000)                                        \
+        ->Apply(repeated);                                         \
     BENCHMARK_CAPTURE(BM_Delete, engine, #engine)                  \
-        ->Iterations(15000)
+        ->Iterations(15000)                                        \
+        ->Apply(repeated)
 
 ETHKV_REGISTER(mem);
 ETHKV_REGISTER(hash);
@@ -199,9 +286,35 @@ ETHKV_REGISTER(obs_hash);
 ETHKV_REGISTER(obs_btree);
 
 // Scans only where ordered iteration is supported.
-BENCHMARK_CAPTURE(BM_Scan100, mem, "mem")->Iterations(2000);
-BENCHMARK_CAPTURE(BM_Scan100, btree, "btree")->Iterations(2000);
-BENCHMARK_CAPTURE(BM_Scan100, lsm, "lsm")->Iterations(500);
+BENCHMARK_CAPTURE(BM_Scan100, mem, "mem")
+    ->Iterations(2000)
+    ->Apply(repeated);
+BENCHMARK_CAPTURE(BM_Scan100, btree, "btree")
+    ->Iterations(2000)
+    ->Apply(repeated);
+BENCHMARK_CAPTURE(BM_Scan100, lsm, "lsm")
+    ->Iterations(500)
+    ->Apply(repeated);
+BENCHMARK_CAPTURE(BM_Scan100, lsm_x4, "lsm_x4")
+    ->Iterations(500)
+    ->Apply(repeated);
+
+// ROADMAP item 2's scaling probe: 1 vs 4 shards over 20k/40k/80k
+// memtable-resident keys; per-key time should not grow with keys.
+BENCHMARK_CAPTURE(BM_FullScan, lsm_x1, 1)
+    ->Arg(20000)
+    ->Arg(40000)
+    ->Arg(80000)
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(repeated);
+BENCHMARK_CAPTURE(BM_FullScan, lsm_x4, 4)
+    ->Arg(20000)
+    ->Arg(40000)
+    ->Arg(80000)
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(repeated);
 
 int
 main(int argc, char **argv)

@@ -1,113 +1,106 @@
 #include "kvstore/internal_iterator.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace ethkv::kv
 {
 
-VectorIterator::VectorIterator(std::vector<InternalEntry> entries)
-    : entries_(std::move(entries))
-{}
-
-void
-VectorIterator::seek(BytesView target)
-{
-    pos_ = std::lower_bound(entries_.begin(), entries_.end(), target,
-                            [](const InternalEntry &e, BytesView t) {
-                                return BytesView(e.key) < t;
-                            }) -
-           entries_.begin();
-    positioned_ = true;
-}
-
-bool
-VectorIterator::valid() const
-{
-    return positioned_ && pos_ < entries_.size();
-}
-
-void
-VectorIterator::next()
-{
-    if (!valid())
-        panic("VectorIterator::next on invalid iterator");
-    ++pos_;
-}
-
-const InternalEntry &
-VectorIterator::entry() const
-{
-    if (!valid())
-        panic("VectorIterator::entry on invalid iterator");
-    return entries_[pos_];
-}
-
 MergingIterator::MergingIterator(
     std::vector<std::unique_ptr<InternalIterator>> sources)
-    : sources_(std::move(sources))
+    : sources_(std::move(sources)), keys_(sources_.size()),
+      live_(sources_.size(), 0)
 {}
 
 void
 MergingIterator::seek(BytesView target)
 {
-    for (auto &src : sources_)
-        src->seek(target);
+    status_ = Status::ok();
+    for (size_t i = 0; i < sources_.size(); ++i) {
+        sources_[i]->seek(target);
+        refresh(i);
+    }
     findCurrent();
+}
+
+void
+MergingIterator::refresh(size_t i)
+{
+    InternalIterator &src = *sources_[i];
+    live_[i] = src.valid();
+    if (live_[i]) {
+        keys_[i] = src.entry().key;
+    } else if (status_.isOk()) {
+        // An exhausted source is fine; a failed one ends the stream,
+        // since its missing keys would leave a hole.
+        status_ = src.status();
+    }
 }
 
 void
 MergingIterator::findCurrent()
 {
+    entry_ = nullptr;
+    if (!status_.isOk())
+        return;
     // Pick the smallest key; among equals the newest source (lowest
-    // index) wins and the older duplicates are advanced past it.
-    valid_ = false;
-    BytesView best_key;
+    // index) wins, and `shadowed` notes that an older source holds
+    // the same key.
+    bool found = false;
+    bool shadowed = false;
     for (size_t i = 0; i < sources_.size(); ++i) {
-        if (!sources_[i]->valid())
+        if (!live_[i])
             continue;
-        BytesView k = sources_[i]->entry().key;
-        if (!valid_ || k < best_key) {
-            valid_ = true;
-            best_key = k;
+        if (!found) {
+            found = true;
             current_ = i;
+            continue;
+        }
+        int c = keys_[i].compare(keys_[current_]);
+        if (c < 0) {
+            current_ = i;
+            shadowed = false;
+        } else if (c == 0) {
+            shadowed = true;
         }
     }
-    if (!valid_)
+    if (!found)
         return;
     // Skip shadowed duplicates in older sources.
-    for (size_t i = 0; i < sources_.size(); ++i) {
-        if (i == current_)
-            continue;
-        while (sources_[i]->valid() &&
-               BytesView(sources_[i]->entry().key) == best_key) {
-            sources_[i]->next();
+    if (shadowed) {
+        BytesView best = keys_[current_];
+        for (size_t i = current_ + 1; i < sources_.size(); ++i) {
+            while (live_[i] && keys_[i] == best) {
+                sources_[i]->next();
+                refresh(i);
+            }
         }
     }
+    if (status_.isOk())
+        entry_ = &sources_[current_]->entry();
 }
 
 bool
 MergingIterator::valid() const
 {
-    return valid_;
+    return entry_ != nullptr;
 }
 
 void
 MergingIterator::next()
 {
-    if (!valid_)
+    if (entry_ == nullptr)
         panic("MergingIterator::next on invalid iterator");
     sources_[current_]->next();
+    refresh(current_);
     findCurrent();
 }
 
 const InternalEntry &
 MergingIterator::entry() const
 {
-    if (!valid_)
+    if (entry_ == nullptr)
         panic("MergingIterator::entry on invalid iterator");
-    return sources_[current_]->entry();
+    return *entry_;
 }
 
 } // namespace ethkv::kv

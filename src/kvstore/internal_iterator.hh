@@ -4,7 +4,9 @@
  *
  * Memtables and SSTables both expose this cursor so that scans and
  * compactions can k-way-merge any combination of sources through one
- * MergingIterator.
+ * MergingIterator. KVStore::newIterator() returns the same interface
+ * (yielding live entries only), so the sharded router merges whole
+ * engines with that MergingIterator too.
  */
 
 #ifndef ETHKV_KVSTORE_INTERNAL_ITERATOR_HH
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/bytes.hh"
+#include "common/status.hh"
 #include "kvstore/entry.hh"
 
 namespace ethkv::kv
@@ -41,30 +44,12 @@ class InternalIterator
 
     /** The current entry; requires valid(). */
     virtual const InternalEntry &entry() const = 0;
-};
 
-/**
- * Cursor over an in-memory vector of entries already sorted by
- * ascending key.
- *
- * Scans use this to iterate a point-in-time copy of the active
- * memtable without holding the store mutex (the live memtable keeps
- * mutating underneath, so its own iterator is only safe under lock).
- */
-class VectorIterator : public InternalIterator
-{
-  public:
-    explicit VectorIterator(std::vector<InternalEntry> entries);
-
-    void seek(BytesView target) override;
-    bool valid() const override;
-    void next() override;
-    const InternalEntry &entry() const override;
-
-  private:
-    std::vector<InternalEntry> entries_;
-    size_t pos_ = 0;
-    bool positioned_ = false;
+    /**
+     * Why the cursor stopped early: Ok while valid() or after a
+     * clean end; otherwise the failure, and valid() is false.
+     */
+    virtual Status status() const { return Status::ok(); }
 };
 
 /**
@@ -72,7 +57,8 @@ class VectorIterator : public InternalIterator
  *
  * Sources must be ordered newest-to-oldest. When multiple sources
  * hold the same user key, only the entry from the newest source is
- * yielded (including tombstones — callers filter those).
+ * yielded (including tombstones — callers filter those). A source
+ * that fails ends the merged stream with that source's status.
  */
 class MergingIterator : public InternalIterator
 {
@@ -84,13 +70,21 @@ class MergingIterator : public InternalIterator
     bool valid() const override;
     void next() override;
     const InternalEntry &entry() const override;
+    Status status() const override { return status_; }
 
   private:
+    /** Re-read source i's position after it moved. */
+    void refresh(size_t i);
     void findCurrent();
 
     std::vector<std::unique_ptr<InternalIterator>> sources_;
-    size_t current_ = 0; //!< Index of the winning source.
-    bool valid_ = false;
+    //! Current key of each source (stable until that source moves),
+    //! so a step re-reads only the sources it advanced.
+    std::vector<BytesView> keys_;
+    std::vector<char> live_; //!< Whether source i is valid.
+    size_t current_ = 0;     //!< Index of the winning source.
+    const InternalEntry *entry_ = nullptr; //!< Null when invalid.
+    Status status_ = Status::ok();
 };
 
 } // namespace ethkv::kv

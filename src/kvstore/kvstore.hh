@@ -17,9 +17,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hh"
 #include "common/status.hh"
+#include "kvstore/internal_iterator.hh"
 #include "kvstore/write_batch.hh"
 
 namespace ethkv::kv
@@ -125,6 +127,24 @@ class KVStore
     virtual Status scan(BytesView start, BytesView end,
                         const ScanCallback &cb) = 0;
 
+    /**
+     * Open a pull-based cursor over the live keys in [start, end).
+     *
+     * The cursor yields Put entries only, in ascending key order;
+     * seek() it (to start or later) before reading. Like a paged
+     * scan it is not a point-in-time snapshot: writes made while it
+     * is open may or may not be observed, but keys come out sorted,
+     * each at most once, and every key live for the cursor's whole
+     * life is returned. It holds no store lock between calls, so
+     * its owner may call back into the store. Engine failures
+     * (NotSupported included) end it with status().
+     *
+     * The default is a ChunkedScanIterator over scan(); engines
+     * with a native cursor override it.
+     */
+    virtual std::unique_ptr<InternalIterator>
+    newIterator(BytesView start, BytesView end);
+
     /** Apply a batch atomically (all-or-nothing on recovery). */
     virtual Status apply(const WriteBatch &batch);
 
@@ -143,6 +163,52 @@ class KVStore
     /** Number of live keys (may be O(n) for some engines). */
     virtual uint64_t liveKeyCount() = 0;
 };
+
+/**
+ * Cursor built on a callback scan: copies up to `chunk` entries per
+ * call to the scan function, hands them out, and resumes strictly
+ * past the last key copied once they run out. The copy bounds how
+ * long the scan function (and any lock it takes) runs per pull.
+ */
+class ChunkedScanIterator final : public InternalIterator
+{
+  public:
+    using ScanFn = std::function<Status(BytesView start,
+                                        BytesView end,
+                                        const ScanCallback &cb)>;
+
+    ChunkedScanIterator(ScanFn scan, BytesView start, BytesView end,
+                        size_t chunk);
+
+    void seek(BytesView target) override;
+    bool valid() const override { return pos_ < count_; }
+    void next() override;
+    const InternalEntry &entry() const override;
+    Status status() const override { return status_; }
+
+  private:
+    void fill();
+
+    ScanFn scan_;
+    Bytes start_;
+    Bytes end_;
+    size_t chunk_;
+    Bytes cursor_; //!< Where the next fill starts.
+    //! Reused across fills; only the first count_ are current.
+    std::vector<InternalEntry> entries_;
+    size_t count_ = 0;
+    size_t pos_ = 0;
+    Status status_ = Status::ok();
+};
+
+/**
+ * Drive a cursor into a scan callback: seek to @p start and deliver
+ * entries until the callback stops or the cursor ends.
+ *
+ * @return The cursor's status (Ok when the callback stopped it).
+ */
+Status scanIterator(InternalIterator &it, BytesView start,
+                    const ScanCallback &cb);
 
 } // namespace ethkv::kv
 

@@ -12,9 +12,10 @@
  * shards / one cache lock) and are served bare.
  *
  * Coarse by design: correctness first, contention measured by the
- * server's per-op latency histograms. scan() copies a bounded chunk
- * of entries under the lock, then runs the user callback with the
- * lock released and resumes past the last delivered key — so a slow
+ * server's per-op latency histograms. scan() and newIterator()
+ * copy a bounded chunk of entries under the lock
+ * (ChunkedScanIterator), then run the user callback with the lock
+ * released and resume past the last delivered key — so a slow
  * consumer cannot stall every other connection, and callbacks may
  * safely call back into the store (the server's scan handler sits on
  * this path). The price is that a scan is no longer a point-in-time
@@ -26,9 +27,8 @@
 #ifndef ETHKV_KVSTORE_LOCKED_STORE_HH
 #define ETHKV_KVSTORE_LOCKED_STORE_HH
 
+#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/lock_ranks.hh"
 #include "common/mutex.hh"
@@ -68,41 +68,28 @@ class LockedKVStore final : public KVStore
     scan(BytesView start, BytesView end,
          const ScanCallback &cb) override EXCLUDES(mutex_)
     {
-        // Chunked: copy up to kScanChunk entries under the lock,
-        // deliver them unlocked, then re-enter just past the last
-        // key. Keeps lock hold time O(chunk) instead of O(range)
-        // and makes reentrant callbacks safe.
+        return scanIterator(*newIterator(start, end), start, cb);
+    }
+
+    /**
+     * Chunked: each pull copies up to kScanChunk entries out of the
+     * inner scan under the lock and hands them out unlocked. Keeps
+     * lock hold time O(chunk) instead of O(range) and makes
+     * reentrant callers safe. NotSupported (and any other failure)
+     * passes through as the cursor's status, so callers see the
+     * engine's own verdict.
+     */
+    std::unique_ptr<InternalIterator>
+    newIterator(BytesView start, BytesView end) override
+    {
         static constexpr size_t kScanChunk = 256;
-        Bytes cursor(start);
-        for (;;) {
-            std::vector<std::pair<Bytes, Bytes>> chunk;
-            chunk.reserve(kScanChunk);
-            {
+        return std::make_unique<ChunkedScanIterator>(
+            [this](BytesView s, BytesView e,
+                   const ScanCallback &cb) {
                 MutexLock lock(mutex_);
-                Status s = inner_.scan(
-                    cursor, end,
-                    [&chunk](BytesView k, BytesView v) {
-                        chunk.emplace_back(Bytes(k), Bytes(v));
-                        return chunk.size() < kScanChunk;
-                    });
-                // NotSupported (and any other failure) passes
-                // through untouched so callers see the engine's
-                // own verdict.
-                if (!s.isOk())
-                    return s;
-            }
-            bool maybe_more = chunk.size() == kScanChunk;
-            for (const auto &entry : chunk) {
-                if (!cb(entry.first, entry.second))
-                    return Status::ok();
-            }
-            if (!maybe_more)
-                return Status::ok();
-            // Smallest key strictly greater than the last one
-            // delivered.
-            cursor = chunk.back().first;
-            cursor.push_back('\0');
-        }
+                return inner_.scan(s, e, cb);
+            },
+            start, end, kScanChunk);
     }
 
     Status

@@ -560,6 +560,7 @@ LSMStore::sealMemtableLocked()
                         memtable_.release()),
                     wal_no});
     memtable_ = std::make_unique<MemTable>();
+    ++memtable_gen_;
 
     Status s = persistManifestLocked();
     if (!s.isOk()) {
@@ -1037,59 +1038,335 @@ LSMStore::get(BytesView key, Bytes &value)
     return Status::notFound();
 }
 
+// ---------------------------------------------------------------
+// Scan cursor
+// ---------------------------------------------------------------
+
+/**
+ * Cursor over the active memtable, which keeps changing under
+ * writers. It holds at most scan_batch copied entries and copies the
+ * next batch, under the store mutex, when the merge moves past the
+ * last one; a memtable cursor parked on the last copied node makes
+ * that copy resume without a fresh skiplist search. If the memtable
+ * was sealed in between, that copy would miss whatever the sealed
+ * memtable holds past the batch, so the cursor goes invalid and
+ * flags itself stale instead; ScanIterator then re-snapshots every
+ * source at resumeKey().
+ */
+class LSMStore::ActiveBatchIterator final : public InternalIterator
+{
+  public:
+    ActiveBatchIterator(LSMStore &store, BytesView end)
+        : store_(store), end_(end)
+    {}
+
+    /** Copy the first batch at or after @p from; mutex held. */
+    void
+    loadLocked(BytesView from)
+    {
+        gen_ = store_.memtable_gen_;
+        mem_ = store_.memtable_->newIterator();
+        mem_->seek(from);
+        copyLocked();
+    }
+
+    void
+    seek(BytesView target) override
+    {
+        pos_ = 0;
+        while (pos_ < count_ && BytesView(batch_[pos_].key) < target)
+            ++pos_;
+    }
+
+    bool valid() const override { return pos_ < count_; }
+
+    void
+    next() override
+    {
+        if (!valid())
+            panic("ActiveBatchIterator::next on invalid iterator");
+        if (++pos_ < count_ || count_ < scan_batch)
+            return;
+        // A full batch may have stopped short of the range's end.
+        std::lock_guard<std::mutex> lock(store_.mutex_.native());
+        if (store_.memtable_gen_ != gen_) {
+            // mem_ may point into a freed memtable; never touch it.
+            resume_.assign(batch_[count_ - 1].key);
+            resume_.push_back('\0');
+            stale_ = true;
+            count_ = 0;
+            return;
+        }
+        // Nodes are never unlinked while the memtable is active, so
+        // the parked node's successor is read fresh here.
+        mem_->next();
+        copyLocked();
+    }
+
+    const InternalEntry &
+    entry() const override
+    {
+        if (!valid())
+            panic("ActiveBatchIterator::entry on invalid iterator");
+        return batch_[pos_];
+    }
+
+    bool stale() const { return stale_; }
+
+    /** The smallest key not yet covered by a copied batch. */
+    BytesView resumeKey() const { return resume_; }
+
+  private:
+    /** Copy from mem_'s position; a full batch leaves mem_ parked on
+     *  the last node copied. */
+    void
+    copyLocked()
+    {
+        count_ = 0;
+        pos_ = 0;
+        for (; mem_->valid(); mem_->next()) {
+            const InternalEntry &e = mem_->entry();
+            if (!end_.empty() && BytesView(e.key) >= end_)
+                break;
+            if (count_ == batch_.size())
+                batch_.push_back(e);
+            else
+                batch_[count_] = e; // reuses the buffers
+            if (++count_ == scan_batch)
+                break;
+        }
+    }
+
+    LSMStore &store_;
+    BytesView end_; //!< Owned by the ScanIterator.
+    uint64_t gen_ = 0;
+    std::unique_ptr<InternalIterator> mem_; //!< Used under the mutex.
+    std::vector<InternalEntry> batch_; //!< First count_ are current.
+    size_t count_ = 0;
+    size_t pos_ = 0;
+    Bytes resume_;
+    bool stale_ = false;
+};
+
+/**
+ * Cursor over one sorted, non-overlapping level (L1+). It opens a
+ * table only when the merge reaches it, and never opens one that
+ * starts at or past the range's end.
+ */
+class LSMStore::LevelIterator final : public InternalIterator
+{
+  public:
+    LevelIterator(const TableVec &files, BytesView end)
+        : files_(files), end_(end)
+    {}
+
+    void
+    seek(BytesView target) override
+    {
+        // First table whose largest key >= target.
+        idx_ = static_cast<size_t>(
+            std::partition_point(
+                files_.begin(), files_.end(),
+                [target](const std::shared_ptr<TableHandle> &t) {
+                    return BytesView(t->reader->props().largest_key) <
+                           target;
+                }) -
+            files_.begin());
+        open(target);
+    }
+
+    bool valid() const override { return table_ && table_->valid(); }
+
+    void
+    next() override
+    {
+        if (!valid())
+            panic("LevelIterator::next on invalid iterator");
+        table_->next();
+        if (!table_->valid()) {
+            ++idx_;
+            open(BytesView());
+        }
+    }
+
+    const InternalEntry &
+    entry() const override
+    {
+        if (!valid())
+            panic("LevelIterator::entry on invalid iterator");
+        return table_->entry();
+    }
+
+  private:
+    /** Position at the first entry >= target in table idx_ or a
+     *  later one inside the range. */
+    void
+    open(BytesView target)
+    {
+        for (; idx_ < files_.size(); ++idx_) {
+            const SSTableProps &p = files_[idx_]->reader->props();
+            if (!end_.empty() && BytesView(p.smallest_key) >= end_)
+                break;
+            table_ = files_[idx_]->reader->newIterator();
+            table_->seek(target);
+            if (table_->valid())
+                return;
+        }
+        table_.reset();
+    }
+
+    const TableVec &files_; //!< Pinned by the ScanIterator's Version.
+    BytesView end_;         //!< Owned by the ScanIterator.
+    size_t idx_ = 0;
+    std::unique_ptr<InternalIterator> table_;
+};
+
+/**
+ * The store's native cursor: one MergingIterator over the active
+ * batch, the sealed memtables, every L0 table that overlaps the
+ * range, and one LevelIterator per deeper level that does. Sealed
+ * memtables and tables are frozen, so they are read in place from a
+ * snapshot taken with the first batch; tombstones and keys at or
+ * past the end are hidden.
+ */
+class LSMStore::ScanIterator final : public InternalIterator
+{
+  public:
+    ScanIterator(LSMStore &store, BytesView start, BytesView end,
+                 bool count_scans)
+        : store_(store), start_(start), end_(end),
+          count_scans_(count_scans)
+    {}
+
+    void
+    seek(BytesView target) override
+    {
+        snapshot(target < BytesView(start_) ? BytesView(start_)
+                                            : target,
+                 count_scans_);
+        settle();
+    }
+
+    bool valid() const override { return valid_; }
+
+    void
+    next() override
+    {
+        if (!valid_)
+            panic("LSMStore::ScanIterator::next on invalid iterator");
+        merged_->next();
+        settle();
+    }
+
+    const InternalEntry &
+    entry() const override
+    {
+        if (!valid_)
+            panic("LSMStore::ScanIterator::entry on invalid iterator");
+        return merged_->entry();
+    }
+
+  private:
+    /** Rebuild every source from the store's current state and
+     *  position them at @p from. */
+    void
+    snapshot(BytesView from, bool count_scan)
+    {
+        merged_.reset(); // Drop the old sources before their owners.
+        auto active = std::make_unique<ActiveBatchIterator>(
+            store_, BytesView(end_));
+        {
+            std::lock_guard<std::mutex> lock(
+                store_.mutex_.native());
+            if (count_scan)
+                ++store_.stats_.user_scans;
+            active->loadLocked(from);
+            imms_.clear();
+            for (auto it = store_.imm_.rbegin();
+                 it != store_.imm_.rend(); ++it)
+                imms_.push_back(it->mem); // Newest first.
+            version_ = store_.version_;
+        }
+        active_ = active.get();
+
+        std::vector<std::unique_ptr<InternalIterator>> sources;
+        sources.push_back(std::move(active));
+        for (const auto &mem : imms_)
+            sources.push_back(mem->newIterator());
+        auto overlaps = [&](BytesView smallest, BytesView largest) {
+            return largest >= from &&
+                   (end_.empty() || smallest < BytesView(end_));
+        };
+        for (const auto &t : version_->levels[0]) {
+            const SSTableProps &p = t->reader->props();
+            if (overlaps(p.smallest_key, p.largest_key))
+                sources.push_back(t->reader->newIterator());
+        }
+        for (int level = 1; level < max_levels; ++level) {
+            const TableVec &files = version_->levels[level];
+            if (!files.empty() &&
+                overlaps(files.front()->reader->props().smallest_key,
+                         files.back()->reader->props().largest_key)) {
+                sources.push_back(
+                    std::make_unique<LevelIterator>(files, end_));
+            }
+        }
+        merged_ = std::make_unique<MergingIterator>(std::move(sources));
+        merged_->seek(from);
+    }
+
+    /** Move to the first visible entry at or after the merge's
+     *  position, re-snapshotting if the active batch went stale. */
+    void
+    settle()
+    {
+        for (;;) {
+            if (active_->stale()) {
+                // Everything up to the stale batch's last key was
+                // delivered from a consistent view; continue past it
+                // from a fresh one.
+                Bytes from(active_->resumeKey());
+                snapshot(from, false);
+                continue;
+            }
+            if (!merged_->valid())
+                break;
+            const InternalEntry &e = merged_->entry();
+            if (!end_.empty() && BytesView(e.key) >= BytesView(end_))
+                break;
+            if (e.type == EntryType::Put) {
+                valid_ = true;
+                return;
+            }
+            merged_->next();
+        }
+        valid_ = false;
+    }
+
+    LSMStore &store_;
+    Bytes start_;
+    Bytes end_;
+    bool count_scans_;
+    //! Keep the snapshot's memtables and tables alive.
+    std::vector<std::shared_ptr<const MemTable>> imms_;
+    std::shared_ptr<const Version> version_;
+    ActiveBatchIterator *active_ = nullptr; //!< Owned by merged_.
+    std::unique_ptr<MergingIterator> merged_;
+    bool valid_ = false;
+};
+
+std::unique_ptr<InternalIterator>
+LSMStore::newIterator(BytesView start, BytesView end)
+{
+    return std::make_unique<ScanIterator>(*this, start, end,
+                                          /*count_scans=*/true);
+}
+
 Status
 LSMStore::scan(BytesView start, BytesView end, const ScanCallback &cb)
 {
-    std::unique_lock<std::mutex> lock(mutex_.native());
-    ++stats_.user_scans;
-
-    // The live memtable mutates under concurrent writers, so copy
-    // the requested range out under the lock (bounded by
-    // memtable_bytes). Sealed memtables and tables are frozen and
-    // iterate lock-free via the snapshot.
-    std::vector<InternalEntry> active;
-    memtable_->forEach(start, end, [&](const InternalEntry &e) {
-        active.push_back(e);
-        return true;
-    });
-    std::vector<std::shared_ptr<const MemTable>> imms;
-    imms.reserve(imm_.size());
-    for (auto it = imm_.rbegin(); it != imm_.rend(); ++it)
-        imms.push_back(it->mem); // Newest first.
-    std::shared_ptr<const Version> ver = version_;
-    lock.unlock();
-
-    std::vector<std::unique_ptr<InternalIterator>> sources;
-    sources.push_back(
-        std::make_unique<VectorIterator>(std::move(active)));
-    for (const auto &mem : imms)
-        sources.push_back(mem->newIterator());
-    for (const auto &t : ver->levels[0])
-        sources.push_back(t->reader->newIterator());
-    for (int level = 1; level < max_levels; ++level) {
-        for (const auto &t : ver->levels[level]) {
-            const SSTableProps &p = t->reader->props();
-            if (!end.empty() && BytesView(p.smallest_key) >= end)
-                continue;
-            if (BytesView(p.largest_key) < start)
-                continue;
-            sources.push_back(t->reader->newIterator());
-        }
-    }
-
-    MergingIterator merged(std::move(sources));
-    merged.seek(start);
-    while (merged.valid()) {
-        const InternalEntry &e = merged.entry();
-        if (!end.empty() && BytesView(e.key) >= end)
-            break;
-        if (e.type == EntryType::Put) {
-            if (!cb(e.key, e.value))
-                break;
-        }
-        merged.next();
-    }
-    return Status::ok();
+    ScanIterator it(*this, start, end, /*count_scans=*/true);
+    return scanIterator(it, start, cb);
 }
 
 Status
@@ -1366,38 +1643,13 @@ LSMStore::stats() const
 uint64_t
 LSMStore::liveKeyCount()
 {
-    // Bypass scan() so diagnostics don't perturb user_scans.
-    std::unique_lock<std::mutex> lock(mutex_.native());
-    std::vector<InternalEntry> active;
-    memtable_->forEach(BytesView(), BytesView(),
-                       [&](const InternalEntry &e) {
-                           active.push_back(e);
-                           return true;
-                       });
-    std::vector<std::shared_ptr<const MemTable>> imms;
-    for (auto it = imm_.rbegin(); it != imm_.rend(); ++it)
-        imms.push_back(it->mem);
-    std::shared_ptr<const Version> ver = version_;
-    lock.unlock();
-
-    std::vector<std::unique_ptr<InternalIterator>> sources;
-    sources.push_back(
-        std::make_unique<VectorIterator>(std::move(active)));
-    for (const auto &mem : imms)
-        sources.push_back(mem->newIterator());
-    for (const auto &t : ver->levels[0])
-        sources.push_back(t->reader->newIterator());
-    for (int level = 1; level < max_levels; ++level)
-        for (const auto &t : ver->levels[level])
-            sources.push_back(t->reader->newIterator());
-    MergingIterator merged(std::move(sources));
-    merged.seek(BytesView());
+    // Bypass the user-scan counter so diagnostics don't perturb
+    // user_scans.
+    ScanIterator it(*this, BytesView(), BytesView(),
+                    /*count_scans=*/false);
     uint64_t count = 0;
-    while (merged.valid()) {
-        if (merged.entry().type == EntryType::Put)
-            ++count;
-        merged.next();
-    }
+    for (it.seek(BytesView()); it.valid(); it.next())
+        ++count;
     return count;
 }
 

@@ -13,10 +13,13 @@
  *
  * Concurrency model: one internal mutex serializes foreground
  * mutations and version swaps; flush/compaction I/O runs on the
- * MaintenanceThread without the lock held. Reads take the lock only
- * long enough to snapshot the active memtable plus a shared_ptr to
- * the current immutable-memtable set and table Version, then search
- * lock-free. Writers that outrun maintenance hit RocksDB-style
+ * MaintenanceThread without the lock held. Point reads take the
+ * lock only long enough to probe the active memtable and snapshot a
+ * shared_ptr to the current immutable-memtable set and table
+ * Version, then search lock-free. Scans run on a cursor
+ * (newIterator()) that copies the active memtable in bounded
+ * batches and iterates everything else in place (DESIGN.md §16).
+ * Writers that outrun maintenance hit RocksDB-style
  * backpressure: a 1 ms slowdown once L0 reaches l0_slowdown_files,
  * and a hard stall (condition-variable wait, surfaced via the
  * kv.stall_micros counter) at max_immutable_memtables sealed
@@ -97,6 +100,9 @@ class LSMStore : public KVStore
     Status del(BytesView key) override;
     Status scan(BytesView start, BytesView end,
                 const ScanCallback &cb) override;
+    /** Native cursor; each seek() counts as one user scan. */
+    std::unique_ptr<InternalIterator>
+    newIterator(BytesView start, BytesView end) override;
     Status apply(const WriteBatch &batch) override;
 
     /**
@@ -154,7 +160,15 @@ class LSMStore : public KVStore
 
     static constexpr int max_levels = 7;
 
+    //! Most active-memtable entries a cursor copies per hold of the
+    //! store mutex.
+    static constexpr size_t scan_batch = 32;
+
   private:
+    class ActiveBatchIterator;
+    class LevelIterator;
+    class ScanIterator;
+
     /**
      * One open SSTable. Shared between Version snapshots; when a
      * compaction retires the table it marks the handle obsolete and
@@ -311,6 +325,10 @@ class LSMStore : public KVStore
     std::string degraded_reason_;
     uint64_t quarantined_bytes_ = 0;
     std::unique_ptr<MemTable> memtable_;
+    //! Bumped whenever memtable_ is sealed and replaced, so a scan
+    //! cursor can tell that its snapshot of the sealed memtables is
+    //! stale.
+    uint64_t memtable_gen_ = 0;
     std::unique_ptr<WriteAheadLog> wal_;
     uint64_t active_wal_no_ = 0; //!< 0 = none sealed yet.
     std::deque<ImmutableMemtable> imm_; //!< Oldest first.

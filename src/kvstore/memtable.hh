@@ -77,8 +77,10 @@ class MemTable
     /**
      * Create a cursor over this memtable.
      *
-     * The memtable must outlive the cursor and must not be mutated
-     * while the cursor is in use.
+     * The memtable must outlive the cursor, and cursor calls must
+     * not run concurrently with add(). A cursor stays usable across
+     * add() calls, though: nodes are never unlinked, so next() from
+     * a parked position reads the node's current successor.
      */
     std::unique_ptr<InternalIterator> newIterator() const;
 

@@ -1,6 +1,5 @@
 #include "kvstore/sharded_store.hh"
 
-#include <deque>
 #include <utility>
 
 #include "common/dcheck.hh"
@@ -16,11 +15,6 @@ namespace
 //! the bloom filters' seeds so shard placement never correlates
 //! with cache shard placement or filter bits.
 constexpr uint64_t kShardHashSeed = 0x5ca1ab1e0ddba11ull;
-
-//! Entries pulled from one shard per refill during the k-way scan
-//! merge. Bounds per-shard lock hold time and merge memory at
-//! O(shards * chunk) regardless of range size.
-constexpr size_t kMergeChunk = 128;
 
 } // namespace
 
@@ -175,73 +169,23 @@ ShardedKVStore::scan(BytesView start, BytesView end,
     if (serve_.size() == 1)
         return serve_[0]->scan(start, end, cb);
     scan_merges_->inc();
+    return scanIterator(*newIterator(start, end), start, cb);
+}
 
-    // One chunked cursor per shard: pull up to kMergeChunk entries
-    // from [next, end), hand out the globally-smallest front, and
-    // refill a cursor only when its buffer drains. The callback
-    // runs with no shard locks held (the buffers own copies), so
-    // it may reenter the store, exactly like LockedKVStore::scan.
-    struct Cursor
-    {
-        KVStore *store = nullptr;
-        std::deque<std::pair<Bytes, Bytes>> buf;
-        Bytes next;
-        bool exhausted = false;
-    };
-    std::vector<Cursor> cursors(serve_.size());
-    auto refill = [&end](Cursor &c) -> Status {
-        if (c.exhausted)
-            return Status::ok();
-        size_t got = 0;
-        Status s = c.store->scan(
-            c.next, end, [&c, &got](BytesView k, BytesView v) {
-                c.buf.emplace_back(Bytes(k), Bytes(v));
-                return ++got < kMergeChunk;
-            });
-        if (!s.isOk())
-            return s;
-        if (got < kMergeChunk) {
-            c.exhausted = true;
-        } else {
-            // Resume strictly past the last buffered key.
-            c.next = c.buf.back().first;
-            c.next.push_back('\0');
-        }
-        return Status::ok();
-    };
-    for (size_t i = 0; i < serve_.size(); ++i) {
-        cursors[i].store = serve_[i];
-        cursors[i].next = Bytes(start);
-        Status s = refill(cursors[i]);
-        if (!s.isOk())
-            return s;
-    }
-
-    for (;;) {
-        // Linear min over <= N shard fronts: for realistic shard
-        // counts this beats heap bookkeeping and keeps the code
-        // obviously correct.
-        Cursor *min = nullptr;
-        for (Cursor &c : cursors) {
-            if (c.buf.empty())
-                continue;
-            if (min == nullptr ||
-                c.buf.front().first < min->buf.front().first)
-                min = &c;
-        }
-        if (min == nullptr)
-            return Status::ok(); // every shard exhausted
-        std::pair<Bytes, Bytes> entry =
-            std::move(min->buf.front());
-        min->buf.pop_front();
-        if (!cb(entry.first, entry.second))
-            return Status::ok();
-        if (min->buf.empty()) {
-            Status s = refill(*min);
-            if (!s.isOk())
-                return s;
-        }
-    }
+std::unique_ptr<InternalIterator>
+ShardedKVStore::newIterator(BytesView start, BytesView end)
+{
+    if (serve_.size() == 1)
+        return serve_[0]->newIterator(start, end);
+    // Shards hold disjoint keys, so the merge never sees duplicates
+    // and its source order does not matter. Each shard cursor is
+    // pulled only as far as the merge consumes it and holds no lock
+    // between pulls, so callers may reenter the store.
+    std::vector<std::unique_ptr<InternalIterator>> sources;
+    sources.reserve(serve_.size());
+    for (KVStore *shard : serve_)
+        sources.push_back(shard->newIterator(start, end));
+    return std::make_unique<MergingIterator>(std::move(sources));
 }
 
 Status

@@ -29,17 +29,18 @@
  *    crash recovery is per-shard-atomic, not cross-shard-atomic —
  *    which is why the cache tier invalidates batch keys even on a
  *    failed apply (see CacheTier::apply);
- *  - SCAN runs a k-way merge: each shard's ordered scan is pulled
- *    in bounded chunks and the globally-smallest key is delivered
- *    next, so the merged stream is exactly the ascending order a
- *    single store would produce. Early termination by the callback
- *    (the server's byte budget / entry limit) stops all cursors,
+ *  - SCAN is one MergingIterator over every shard's newIterator()
+ *    cursor: the globally-smallest key is delivered next, so the
+ *    merged stream is exactly the ascending order a single store
+ *    would produce, and each shard is advanced only as far as the
+ *    merge consumes it. Early termination by the callback (the
+ *    server's byte budget / entry limit) simply drops the cursors,
  *    and the resume-from-last-key paging contract holds unchanged.
  *
- * Consistency: like LockedKVStore's chunked scan, the merged scan
- * is not a point-in-time snapshot — concurrent writes between
- * chunk refills may or may not be observed — which matches the
- * wire contract (paged scans resume from the last delivered key).
+ * Consistency: like any newIterator() cursor, the merged scan is
+ * not a point-in-time snapshot — concurrent writes may or may not
+ * be observed — which matches the wire contract (paged scans
+ * resume from the last delivered key).
  *
  * The shard count is part of the on-disk layout: reopening a
  * directory with a different count would silently misroute every
@@ -114,6 +115,8 @@ class ShardedKVStore final : public KVStore
     Status del(BytesView key) override;
     Status scan(BytesView start, BytesView end,
                 const ScanCallback &cb) override;
+    std::unique_ptr<InternalIterator>
+    newIterator(BytesView start, BytesView end) override;
     Status apply(const WriteBatch &batch) override;
     bool contains(BytesView key) override;
     Status flush() override;

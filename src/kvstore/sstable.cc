@@ -22,10 +22,26 @@ appendEntry(Bytes &out, const InternalEntry &e)
     out += e.value;
 }
 
-bool
-readEntry(BytesView data, size_t &pos, InternalEntry &e)
+/** One data-block entry parsed in place: views into the block. */
+struct EntryView
 {
-    uint64_t klen, vlen, seq;
+    BytesView key;
+    BytesView value;
+    uint64_t seq = 0;
+    EntryType type = EntryType::Put;
+};
+
+/**
+ * Parse the entry at @p pos and advance past it. Every entry a
+ * reader hands out, and every entry of each block it reads, passes
+ * these checks first.
+ *
+ * @return false if the bytes at @p pos are not a well-formed entry.
+ */
+bool
+parseEntry(BytesView data, size_t &pos, EntryView &e)
+{
+    uint64_t klen, vlen;
     if (!readVarint(data, pos, klen))
         return false;
     if (!readVarint(data, pos, vlen))
@@ -35,17 +51,38 @@ readEntry(BytesView data, size_t &pos, InternalEntry &e)
     uint8_t type = static_cast<uint8_t>(data[pos++]);
     if (type > static_cast<uint8_t>(EntryType::Tombstone))
         return false;
-    if (!readVarint(data, pos, seq))
+    if (!readVarint(data, pos, e.seq))
         return false;
-    if (pos + klen + vlen > data.size())
+    if (klen > data.size() - pos || vlen > data.size() - pos - klen)
         return false;
-    e.key = Bytes(data.substr(pos, klen));
+    e.key = data.substr(pos, klen);
     pos += klen;
-    e.value = Bytes(data.substr(pos, vlen));
+    e.value = data.substr(pos, vlen);
     pos += vlen;
-    e.seq = seq;
     e.type = static_cast<EntryType>(type);
     return true;
+}
+
+/** Whether every entry of @p block parses. */
+bool
+wellFormedBlock(BytesView block)
+{
+    EntryView v;
+    for (size_t pos = 0; pos < block.size();) {
+        if (!parseEntry(block, pos, v))
+            return false;
+    }
+    return true;
+}
+
+/** Copy a parsed entry out, reusing @p out's buffers. */
+void
+copyEntry(const EntryView &v, InternalEntry &out)
+{
+    out.key.assign(v.key);
+    out.value.assign(v.value);
+    out.seq = v.seq;
+    out.type = v.type;
 }
 
 void
@@ -333,26 +370,21 @@ SSTableReader::findBlock(BytesView target) const
 }
 
 Status
-SSTableReader::readBlock(size_t block_idx,
-                         std::vector<InternalEntry> &entries)
+SSTableReader::readBlock(size_t block_idx, Bytes &block)
 {
     if (block_idx >= index_.size())
         panic("sstable: block index out of range");
     const IndexEntry &ie = index_[block_idx];
-    Bytes block;
+    // Fit a reused buffer to this block: growing it in place may
+    // double its capacity, and keeping a large block's capacity for
+    // the small blocks after it would pin that memory for as long as
+    // the iterator lives (a whole compaction, for its inputs).
+    if (block.capacity() < ie.size || block.capacity() > 2 * ie.size)
+        Bytes().swap(block);
     Status s = file_->read(ie.offset, ie.size, block);
     if (!s.isOk())
         return s;
     bytes_read_.fetch_add(ie.size, std::memory_order_relaxed);
-
-    entries.clear();
-    size_t pos = 0;
-    while (pos < block.size()) {
-        InternalEntry e;
-        if (!readEntry(block, pos, e))
-            return Status::corruption("sstable: bad block entry");
-        entries.push_back(std::move(e));
-    }
     return Status::ok();
 }
 
@@ -369,29 +401,32 @@ SSTableReader::get(BytesView key, InternalEntry &entry)
     if (idx < 0)
         return Status::notFound();
 
-    std::vector<InternalEntry> entries;
-    Status s = readBlock(static_cast<size_t>(idx), entries);
+    Bytes block;
+    Status s = readBlock(static_cast<size_t>(idx), block);
     if (!s.isOk())
         return s;
-    // Binary search within the decoded block.
-    size_t lo = 0, hi = entries.size();
-    while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (BytesView(entries[mid].key) < key)
-            lo = mid + 1;
-        else
-            hi = mid;
+    // One pass over the raw block: every entry is validated, even
+    // past the hit, and only the hit is copied out.
+    EntryView v, hit;
+    bool found = false;
+    for (size_t pos = 0; pos < block.size();) {
+        if (!parseEntry(block, pos, v))
+            return Status::corruption("sstable: bad block entry");
+        if (!found && v.key == key) {
+            hit = v;
+            found = true;
+        }
     }
-    if (lo < entries.size() && BytesView(entries[lo].key) == key) {
-        entry = entries[lo];
-        return Status::ok();
-    }
-    return Status::notFound();
+    if (!found)
+        return Status::notFound();
+    copyEntry(hit, entry);
+    return Status::ok();
 }
 
 /**
- * Cursor over one SSTable: walks blocks sequentially, decoding one
- * block at a time.
+ * Cursor over one SSTable: walks blocks sequentially, reading each
+ * into one reused buffer, validating all of it, and then parsing
+ * entries in place as the cursor advances.
  */
 class SSTableIterator : public InternalIterator
 {
@@ -402,8 +437,7 @@ class SSTableIterator : public InternalIterator
     void
     seek(BytesView target) override
     {
-        entries_.clear();
-        entry_idx_ = 0;
+        valid_ = false;
         if (reader_->index_.empty())
             return;
         int idx = reader_->findBlock(target);
@@ -413,60 +447,71 @@ class SSTableIterator : public InternalIterator
         }
         block_idx_ = static_cast<size_t>(idx);
         loadBlock();
-        while (entry_idx_ < entries_.size() &&
-               BytesView(entries_[entry_idx_].key) < target) {
-            ++entry_idx_;
+        // Skip the block's keys below target without copying them.
+        EntryView v;
+        for (size_t at = pos_; at < block_.size(); pos_ = at) {
+            parseEntry(block_, at, v); // validated by loadBlock
+            if (v.key >= target)
+                break;
         }
-        // Target may fall between blocks' last keys; normalize.
-        advanceIfExhausted();
+        advance();
     }
 
-    bool valid() const override { return entry_idx_ < entries_.size(); }
+    bool valid() const override { return valid_; }
 
     void
     next() override
     {
-        if (!valid())
+        if (!valid_)
             panic("SSTableIterator::next on invalid iterator");
-        ++entry_idx_;
-        advanceIfExhausted();
+        advance();
     }
 
     const InternalEntry &
     entry() const override
     {
-        if (!valid())
+        if (!valid_)
             panic("SSTableIterator::entry on invalid iterator");
-        return entries_[entry_idx_];
+        return entry_;
     }
 
   private:
     void
     loadBlock()
     {
-        reader_->readBlock(block_idx_, entries_)
-            .expectOk("sstable iterator block read");
-        entry_idx_ = 0;
+        // Validate the whole block up front, as a full decode would,
+        // so the in-place parsing below never meets a bad entry.
+        Status s = reader_->readBlock(block_idx_, block_);
+        if (s.isOk() && !wellFormedBlock(block_))
+            s = Status::corruption("sstable: bad block entry");
+        s.expectOk("sstable iterator block read");
+        pos_ = 0;
     }
 
+    /** Make the entry at pos_ current, moving to the next block
+     *  when this one is used up. */
     void
-    advanceIfExhausted()
+    advance()
     {
-        while (entry_idx_ >= entries_.size()) {
-            ++block_idx_;
-            if (block_idx_ >= reader_->index_.size()) {
-                entries_.clear();
-                entry_idx_ = 0;
+        while (pos_ >= block_.size()) {
+            if (++block_idx_ >= reader_->index_.size()) {
+                valid_ = false;
                 return;
             }
             loadBlock();
         }
+        EntryView v;
+        parseEntry(block_, pos_, v);
+        copyEntry(v, entry_);
+        valid_ = true;
     }
 
     SSTableReader *reader_;
     size_t block_idx_ = 0;
-    std::vector<InternalEntry> entries_;
-    size_t entry_idx_ = 0;
+    Bytes block_;      //!< Raw bytes of block block_idx_.
+    size_t pos_ = 0;   //!< Offset of the next unparsed entry.
+    InternalEntry entry_{Bytes(), Bytes(), 0, EntryType::Put};
+    bool valid_ = false;
 };
 
 std::unique_ptr<InternalIterator>

@@ -163,9 +163,9 @@ class SSTableReader
 
     Status load(uint64_t file_bytes);
 
-    /** Read and decode data block i into entries. */
-    Status readBlock(size_t block_idx,
-                     std::vector<InternalEntry> &entries);
+    /** Read the raw bytes of data block i into @p block (callers
+     *  parse and validate it in place). */
+    Status readBlock(size_t block_idx, Bytes &block);
 
     /** Index of the first block whose last key >= target, or -1. */
     int findBlock(BytesView target) const;

@@ -180,6 +180,7 @@ Server::Server(kv::KVStore &store, ServerOptions options)
                            opcodeName(static_cast<uint8_t>(i));
         op_count_[i] = &metrics_.counter(name);
         op_errors_[i] = &metrics_.counter(name + ".errors");
+        op_not_found_[i] = &metrics_.counter(name + ".not_found");
         op_latency_[i] =
             &metrics_.histogram(name + ".latency_ns");
     }
@@ -733,7 +734,10 @@ Server::handleFrame(Worker &worker, Connection &conn,
     execOp(conn, frame, wire_status, payload);
     uint64_t exec_end_ns = nowNs();
     op_latency_[idx]->record(exec_end_ns - exec_start_ns);
-    if (wire_status != static_cast<uint8_t>(WireStatus::Ok))
+    // A miss is an answer, not a failure: it gets its own counter.
+    if (wire_status == static_cast<uint8_t>(WireStatus::NotFound))
+        op_not_found_[idx]->inc();
+    else if (wire_status != static_cast<uint8_t>(WireStatus::Ok))
         op_errors_[idx]->inc();
 
     // Semi-sync replication: a successful mutation's response is

@@ -216,7 +216,8 @@ class Server
     obs::Counter *backpressure_paused_;
     obs::Counter *backpressure_dropped_;
     obs::Counter *op_count_[13];
-    obs::Counter *op_errors_[13];
+    obs::Counter *op_errors_[13];    //!< Non-Ok, non-NotFound.
+    obs::Counter *op_not_found_[13];
     obs::LatencyHistogram *op_latency_[13];
     obs::LatencyHistogram *conn_lifetime_ops_;
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#include "common/varint.hh"
 #include "kvstore/sstable.hh"
 #include "test_util.hh"
 
@@ -120,6 +123,60 @@ TEST(SSTableTest, IteratorSeekMidRange)
 
     it->seek(makeKey(999, "x"));
     EXPECT_FALSE(it->valid());
+}
+
+// In-place parsing still validates every entry of each block it
+// reads: a corrupt entry header after the looked-up key fails the
+// lookup with Corruption, and fails the iterator's block read.
+TEST(SSTableTest, CorruptEntryAfterHitFailsWholeBlock)
+{
+    ScratchDir dir("sst");
+    const uint64_t n = 200;
+    std::string path = writeTable(dir.path() + "/t.sst", n);
+
+    // Entry 5 of block 0 starts after entries 0-4, laid out as in
+    // the writer: varint klen, varint vlen, type byte, varint seq,
+    // key, value. Point at its type byte.
+    size_t offset = 0;
+    for (uint64_t i = 0; i < 5; ++i) {
+        Bytes header;
+        size_t vlen = i % 7 == 3 ? 0 : 24;
+        appendVarint(header, makeKey(i).size());
+        appendVarint(header, vlen);
+        header.push_back('\0');
+        appendVarint(header, i + 1);
+        offset += header.size() + makeKey(i).size() + vlen;
+    }
+    Bytes lens;
+    appendVarint(lens, makeKey(5).size());
+    appendVarint(lens, 24);
+    offset += lens.size();
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekg(static_cast<std::streamoff>(offset));
+        ASSERT_EQ(f.get(), static_cast<int>(EntryType::Put));
+        f.seekp(static_cast<std::streamoff>(offset));
+        f.put('\x7f'); // no such entry type
+    }
+
+    auto reader = SSTableReader::open(path);
+    ASSERT_TRUE(reader.ok());
+    InternalEntry e;
+    EXPECT_EQ(reader.value()->get(makeKey(0), e).code(),
+              StatusCode::Corruption);
+    EXPECT_EQ(reader.value()->get(makeKey(4), e).code(),
+              StatusCode::Corruption);
+    // Blocks without the bad byte still serve.
+    ASSERT_TRUE(reader.value()->get(makeKey(n - 2), e).isOk());
+    EXPECT_EQ(e.value, makeValue(n - 2));
+
+    EXPECT_DEATH(
+        {
+            auto it = reader.value()->newIterator();
+            it->seek(makeKey(0));
+        },
+        "sstable iterator block read failed: Corruption");
 }
 
 TEST(SSTableTest, RejectsOutOfOrderKeys)

@@ -356,6 +356,38 @@ TEST(ServerTest, NotSupportedCrossesTheWire)
     server.stop();
 }
 
+TEST(ServerTest, GetMissCountsAsNotFoundNotError)
+{
+    // A miss is a normal answer: it bumps server.op.get.not_found
+    // and leaves server.op.get.errors alone, while a real failure
+    // (NotSupported here) still lands in errors.
+    kv::HashStore hash;
+    kv::LockedKVStore locked(hash);
+    ServerOptions options;
+    obs::MetricsRegistry metrics;
+    options.metrics = &metrics;
+    Server server(locked, options);
+    server.start().expectOk("start");
+    auto client = Client::open("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value()->put("k", "v").isOk());
+    Bytes v;
+    ASSERT_TRUE(client.value()->get("k", v).isOk());
+    EXPECT_TRUE(client.value()->get("absent", v).isNotFound());
+    EXPECT_TRUE(client.value()->get("gone", v).isNotFound());
+    ScanResult scan;
+    EXPECT_EQ(client.value()->scan("a", "z", 10, scan).code(),
+              StatusCode::NotSupported);
+    server.stop();
+
+    EXPECT_EQ(metrics.counter("server.op.get").value(), 3u);
+    EXPECT_EQ(metrics.counter("server.op.get.not_found").value(), 2u);
+    EXPECT_EQ(metrics.counter("server.op.get.errors").value(), 0u);
+    EXPECT_EQ(metrics.counter("server.op.scan.errors").value(), 1u);
+    EXPECT_EQ(metrics.counter("server.op.scan.not_found").value(),
+              0u);
+}
+
 TEST(ServerTest, IODegradedSurfacesAsDistinctWireCode)
 {
     // A durable engine that degrades mid-session must report

@@ -222,9 +222,9 @@ renderFrame(const obs::JsonValue &root, const PrevCounters &prev,
         metricU64(metrics, "counters",
                   "server.slowops.recorded"));
 
-    std::printf("%-10s %12s %10s %8s %8s %8s %8s\n", "op",
-                "count", "rate/s", "errors", "p50us", "p99us",
-                "p999us");
+    std::printf("%-10s %12s %10s %9s %8s %8s %8s %8s\n", "op",
+                "count", "rate/s", "not_found", "errors", "p50us",
+                "p99us", "p999us");
     for (const char *op : kOps) {
         std::string base = std::string("server.op.") + op;
         uint64_t count = metricU64(metrics, "counters", base);
@@ -232,10 +232,11 @@ renderFrame(const obs::JsonValue &root, const PrevCounters &prev,
             continue;
         std::string lat = base + ".latency_ns";
         std::printf(
-            "%-10s %12" PRIu64 " %10.0f %8" PRIu64 " %8" PRIu64
-            " %8" PRIu64 " %8" PRIu64 "\n",
+            "%-10s %12" PRIu64 " %10.0f %9" PRIu64 " %8" PRIu64
+            " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 "\n",
             op, count,
             rateOf(prev, base, count, elapsed_ms, have_prev),
+            metricU64(metrics, "counters", base + ".not_found"),
             metricU64(metrics, "counters", base + ".errors"),
             histU64(metrics, lat, "p50") / 1000,
             histU64(metrics, lat, "p99") / 1000,
